@@ -1,5 +1,4 @@
-//! Criterion benchmarks for the PR-3 hot paths: raw engine event
-//! throughput (typed slab path vs the boxed baseline in `substrate.rs`)
+//! Criterion benchmarks for the hot paths: raw engine event throughput
 //! and the parallel vs serial scenario sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -9,10 +8,8 @@ use replipred_repl::SimConfig;
 use replipred_sim::engine::{Engine, Event};
 use std::hint::black_box;
 
-/// The typed-event mirror of `des_100k_event_chain` (boxed closures, in
-/// `substrate.rs`): schedule-and-fire a 100k-event chain through the slab
-/// path. The per-event delta between the two benches is the cost of the
-/// boxed closure.
+/// Schedule-and-fire a 100k-event chain through the engine's slab path:
+/// the per-event cost of the event loop itself.
 fn bench_engine_schedule_fire(c: &mut Criterion) {
     struct Chain;
     impl Event<u64> for Chain {

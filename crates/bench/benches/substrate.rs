@@ -1,9 +1,9 @@
-//! Criterion micro-benchmarks for the substrates: the SI storage engine,
-//! the certifier and the DES kernel.
+//! Criterion micro-benchmarks for the substrates: the SI storage engine
+//! and the certifier (the DES kernel's event loop is `engine_schedule_fire`
+//! in `hotpath.rs`).
 use criterion::{criterion_group, criterion_main, Criterion};
 use replipred_repl::certifier::Certifier;
 use replipred_sidb::{Database, RowId, Value};
-use replipred_sim::engine::Engine;
 use std::hint::black_box;
 
 fn bench_sidb_commit(c: &mut Criterion) {
@@ -51,27 +51,5 @@ fn bench_certifier(c: &mut Criterion) {
     });
 }
 
-fn bench_des_events(c: &mut Criterion) {
-    c.bench_function("des_100k_event_chain", |b| {
-        b.iter(|| {
-            let mut engine = Engine::new(0u64);
-            fn tick(e: &mut Engine<u64>) {
-                *e.world_mut() += 1;
-                if *e.world() < 100_000 {
-                    e.schedule_in(0.001, tick);
-                }
-            }
-            engine.schedule_in(0.001, tick);
-            engine.run();
-            black_box(engine.events_executed())
-        });
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_sidb_commit,
-    bench_certifier,
-    bench_des_events
-);
+criterion_group!(benches, bench_sidb_commit, bench_certifier);
 criterion_main!(benches);

@@ -25,11 +25,25 @@
 //!   simulator side of the design registry
 //!   (`design.simulator(spec, sim_config)`).
 //! - [`certifier`] — the multi-master certification service: version-based
-//!   write-write conflict detection over the global writeset log.
-//! - [`standalone`] — a one-node simulation (the profiling target and the
+//!   write-write conflict detection over the global writeset log. The
+//!   certifier's own replication is modelled the way the paper measures
+//!   it: a round-trip delay ([`config::SimConfig::certifier_delay`]) plus
+//!   injected `cert-down`/`cert-up` outages.
+//! - `cluster` (crate-private) — the one simulation core all three
+//!   designs share: nodes with a CPU, a disk and an SI engine, closed-loop
+//!   clients, admission control, responses and retries, failover,
+//!   writeset propagation with in-order retirement, and schedule
+//!   injection. Each design plugs in a small statically dispatched
+//!   policy: where updates are routed, how they commit (certifier round
+//!   trip or local first-committer-wins), and its crash, rejoin, vacuum
+//!   and post-apply hooks.
+//! - [`standalone`] — the one-node policy (the profiling target and the
 //!   `N = 1` anchor of every measured curve).
-//! - [`mm`] — the multi-master cluster simulation.
-//! - [`sm`] — the single-master cluster simulation.
+//! - [`mm`] — the multi-master policy: any replica executes, the
+//!   certifier orders and conflict-checks.
+//! - [`sm`] — the single-master policy: the master executes and
+//!   certifies locally, slaves apply its relay log; master election,
+//!   recovery and state transfer on failures.
 //! - [`durable`] — per-replica durability (checkpoint + redo log +
 //!   recovery) and [`wslog`] — the bounded, truncatable relay log; both
 //!   back the crash/rejoin paths when
@@ -54,12 +68,12 @@
 //! ```
 
 pub mod certifier;
+mod cluster;
 pub mod config;
 pub mod design;
 pub mod durable;
 pub mod metrics;
 pub mod mm;
-pub mod replicated_certifier;
 pub mod sm;
 pub mod standalone;
 pub mod transient;
@@ -71,7 +85,6 @@ pub use design::{DesignSpec, Simulator, SimulatorRegistry};
 pub use durable::NodeDurability;
 pub use metrics::RunReport;
 pub use mm::MultiMasterSim;
-pub use replicated_certifier::ReplicatedCertifier;
 pub use replipred_core::{Design, Phase, Schedule, ScheduleEvent};
 pub use sm::SingleMasterSim;
 pub use standalone::StandaloneSim;

@@ -25,273 +25,19 @@
 //! until restart; client-population ramps park or wake closed-loop
 //! clients. A disabled schedule leaves the run byte-identical to a
 //! schedule-free build.
+//!
+//! Everything but certification and catch-up lives in the shared
+//! `cluster` core; this module is its multi-master policy.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use replipred_core::ScheduleEvent;
-use replipred_sidb::{Database, TxnId, WriteSet};
-use replipred_sim::engine::{Engine, Event};
-use replipred_sim::resource::{Fcfs, Ps, ServiceToken};
-use replipred_sim::{Rng, SimTime};
-use replipred_workload::client::{ClientId, ClientPool};
-use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
+use replipred_sidb::{Database, WriteSet};
+use replipred_workload::spec::WorkloadSpec;
 
 use crate::certifier::{Certification, Certifier};
+use crate::cluster::{self, Attempt, Eng, Ev, NodeState, Policy, World};
 use crate::config::SimConfig;
-use crate::metrics::{Metrics, RunReport};
-use crate::transient::TransientCollector;
-
-/// Retry backstop (the paper's RTEs retry indefinitely).
-const MAX_RETRIES: u32 = 1000;
-
-/// Replica liveness for fault injection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReplicaState {
-    /// Serving transactions and applying propagated writesets.
-    Up,
-    /// Crashed: serves nothing, receives nothing.
-    Down,
-    /// Rejoined and replaying missed writesets; takes no load yet.
-    CatchingUp,
-}
-
-/// One database replica with its hardware.
-struct Replica {
-    db: Database,
-    cpu: Ps<World, Ev>,
-    disk: Fcfs<World, Ev>,
-    state: ReplicaState,
-    /// Incremented at every crash. In-flight work stamped with an older
-    /// epoch is stale — it must not complete even if the replica has
-    /// already rejoined by the time its event fires.
-    epoch: u64,
-    /// Transactions currently resident (load-balancer signal).
-    inflight: usize,
-    /// Next global version to retire into the local database. Writesets
-    /// consume resources concurrently but are *applied* strictly in
-    /// certification order (out-of-order completion, in-order retire).
-    apply_next: u64,
-    /// Writesets whose resource phase finished, keyed by global version,
-    /// awaiting their turn.
-    apply_ready: BTreeMap<u64, WriteSet>,
-    /// Transactions currently executing (holding an admission slot).
-    executing: usize,
-    /// Arrivals waiting for an admission slot (middleware connection
-    /// pool): `(client, template, started)`.
-    admission: VecDeque<(ClientId, TxnTemplate, f64)>,
-}
-
-struct World {
-    replicas: Vec<Replica>,
-    certifier: Certifier,
-    /// Clients and their compiled statement plan (`pool.plan()`).
-    pool: ClientPool,
-    metrics: Metrics,
-    measuring: bool,
-    /// Demand sampler for writeset applications.
-    rng: Rng,
-    retries_exhausted: u64,
-    lb_delay: f64,
-    certifier_delay: f64,
-    mpl: usize,
-    /// Vacuum interval, seconds (0 disables).
-    vacuum_interval: f64,
-    /// End of the simulated horizon (no vacuums past it).
-    end_time: f64,
-    /// False during an injected certifier outage.
-    certifier_up: bool,
-    /// Certification requests stalled by an outage, drained in FIFO
-    /// order at restart (their stall time shows up as response time).
-    cert_stalled: VecDeque<CertRequest>,
-    /// Transactions with no live replica to run on, drained on rejoin.
-    stranded: VecDeque<(ClientId, TxnTemplate, f64)>,
-    /// The configured base client population (ramp factors are relative
-    /// to this).
-    base_clients: usize,
-    /// Windowed transient metrics; `None` unless a schedule is active.
-    transient: Option<TransientCollector>,
-    /// Amortized group-commit disk surcharge per logged commit
-    /// (`DurabilityConfig::log_disk_demand`; 0 with durability off).
-    log_disk: f64,
-}
-
-/// One in-flight transaction attempt moving through the CPU→disk phases
-/// of its replica.
-struct Attempt {
-    client: ClientId,
-    replica: usize,
-    txn: TxnId,
-    template: TxnTemplate,
-    started: f64,
-    attempt: u32,
-    /// The replica crash epoch the attempt started under.
-    epoch: u64,
-}
-
-/// An update whose writeset has reached the certification service.
-struct CertRequest {
-    client: ClientId,
-    replica: usize,
-    template: TxnTemplate,
-    writeset: WriteSet,
-    started: f64,
-    attempt: u32,
-    /// The origin replica's crash epoch at execution time.
-    epoch: u64,
-}
-
-/// A certified writeset consuming its `ws` demands on a remote replica.
-struct WsApply {
-    replica: usize,
-    version: u64,
-    writeset: WriteSet,
-    /// Disk demand, sampled together with the CPU demand at propagation
-    /// time (keeps the RNG draw order independent of resource contention).
-    ws_disk: f64,
-}
-
-/// The typed event vocabulary of the multi-master simulation.
-enum Ev {
-    /// A client finished thinking; the load balancer takes over.
-    Think(ClientId),
-    /// The LAN delay elapsed: pick a replica and admit.
-    Dispatch(ClientId),
-    /// An attempt finished its CPU phase; the disk phase follows.
-    CpuDone(Attempt),
-    /// An attempt finished its disk phase; commit or certify.
-    DiskDone(Attempt),
-    /// The certifier round trip elapsed: certify and resolve.
-    Certify(CertRequest),
-    /// A propagated writeset finished its CPU phase on a remote replica.
-    WsCpuDone(WsApply),
-    /// A propagated writeset finished its disk phase; retire in order.
-    WsDiskDone(WsApply),
-    /// End of warm-up: discard all measurements.
-    Warmup,
-    /// Periodic version GC on every replica.
-    Vacuum,
-    /// An injected schedule event (crash, rejoin, outage, ramp).
-    Inject(ScheduleEvent),
-    /// A rejoining replica finished one round of writeset replay.
-    CatchupDone(usize),
-    /// Internal PS completion for `replicas[i].cpu`.
-    CpuFired(usize),
-    /// Internal FCFS completion for `replicas[i].disk`.
-    DiskFired(usize, ServiceToken),
-}
-
-impl Event<World> for Ev {
-    fn fire(self, engine: &mut Engine<World, Ev>) {
-        match self {
-            Ev::Think(client) => {
-                let delay = engine.world().lb_delay;
-                engine.schedule_event_in(delay, Ev::Dispatch(client));
-            }
-            Ev::Dispatch(client) => dispatch(engine, client),
-            Ev::CpuDone(attempt) => {
-                let replica = attempt.replica;
-                let r = &engine.world().replicas[replica];
-                if r.state != ReplicaState::Up || r.epoch != attempt.epoch {
-                    abandon_attempt(engine, attempt);
-                    return;
-                }
-                // Update attempts pay the redo-log group-commit share on
-                // top of their sampled disk demand (zero with durability
-                // off — the surcharge never touches the RNG stream).
-                let log_disk = if attempt.template.is_update {
-                    engine.world().log_disk
-                } else {
-                    0.0
-                };
-                let disk_demand = attempt.template.disk_demand + log_disk;
-                Fcfs::submit_event(
-                    engine,
-                    move |w: &mut World| &mut w.replicas[replica].disk,
-                    disk_demand,
-                    Ev::DiskDone(attempt),
-                    move |t| Ev::DiskFired(replica, t),
-                );
-            }
-            Ev::DiskDone(a) => {
-                let r = &engine.world().replicas[a.replica];
-                if r.state != ReplicaState::Up || r.epoch != a.epoch {
-                    abandon_attempt(engine, a);
-                    return;
-                }
-                complete_attempt(engine, a);
-            }
-            Ev::Certify(request) => certify(engine, request),
-            Ev::WsCpuDone(ws) => {
-                let replica = ws.replica;
-                if engine.world().replicas[replica].state != ReplicaState::Up {
-                    // The crashed/rejoining target recovers this writeset
-                    // from the certifier log instead.
-                    return;
-                }
-                // Applying a certified writeset logs it too: same
-                // group-commit surcharge, added after the sampled demand
-                // so the draw order is unchanged.
-                let ws_disk = ws.ws_disk + engine.world().log_disk;
-                Fcfs::submit_event(
-                    engine,
-                    move |w: &mut World| &mut w.replicas[replica].disk,
-                    ws_disk,
-                    Ev::WsDiskDone(ws),
-                    move |t| Ev::DiskFired(replica, t),
-                );
-            }
-            Ev::WsDiskDone(ws) => {
-                if engine.world().replicas[ws.replica].state != ReplicaState::Up {
-                    return;
-                }
-                {
-                    let bytes = ws.writeset.wire_size() as u64;
-                    let w = engine.world_mut();
-                    if w.measuring {
-                        w.metrics.writesets_applied += 1;
-                        w.metrics.writeset_bytes += bytes;
-                    }
-                }
-                mark_ready(engine, ws.replica, ws.version, ws.writeset);
-            }
-            Ev::Warmup => {
-                let now = engine.now().as_secs();
-                let w = engine.world_mut();
-                w.metrics.reset();
-                for r in &mut w.replicas {
-                    r.db.reset_stats();
-                    r.cpu.stats.reset(now);
-                    r.disk.stats.reset(now);
-                }
-                w.measuring = true;
-            }
-            Ev::Vacuum => {
-                let w = engine.world_mut();
-                for r in &mut w.replicas {
-                    r.db.vacuum();
-                }
-                let interval = w.vacuum_interval;
-                let next = engine.now().as_secs() + interval;
-                if next < engine.world().end_time {
-                    engine.schedule_event_in(interval, Ev::Vacuum);
-                }
-            }
-            Ev::Inject(ev) => inject(engine, ev),
-            Ev::CatchupDone(replica) => catchup_step(engine, replica),
-            Ev::CpuFired(replica) => Ps::on_fired(
-                engine,
-                move |w: &mut World| &mut w.replicas[replica].cpu,
-                move || Ev::CpuFired(replica),
-            ),
-            Ev::DiskFired(replica, token) => Fcfs::on_fired(
-                engine,
-                move |w: &mut World| &mut w.replicas[replica].disk,
-                token,
-                move |t| Ev::DiskFired(replica, t),
-            ),
-        }
-    }
-}
+use crate::metrics::RunReport;
 
 /// The multi-master cluster simulator.
 pub struct MultiMasterSim {
@@ -319,308 +65,102 @@ impl MultiMasterSim {
         assert!(self.cfg.replicas > 0, "need at least one replica");
         let n = self.cfg.replicas;
         let clients = n * self.spec.clients_per_replica;
-        let mut replicas = Vec::with_capacity(n);
-        let mut base_offset = 0;
-        let mut plan = None;
-        for _ in 0..n {
-            let mut db = Database::new();
-            let p = self
-                .spec
-                .install(&mut db, self.cfg.seed_scale)
-                .expect("workload installs on a fresh database");
-            base_offset = db.version();
-            // Identical schema creation order means identical plans; the
-            // certifier and writesets rely on shared table ids.
-            if let Some(prev) = &plan {
-                debug_assert!(*prev == p, "replica plans diverged");
-            }
-            plan = Some(p);
-            replicas.push(Replica {
-                db,
-                cpu: Ps::new(1.0),
-                disk: Fcfs::new(1),
-                state: ReplicaState::Up,
-                epoch: 0,
-                inflight: 0,
-                apply_next: base_offset + 1,
-                apply_ready: BTreeMap::new(),
-                executing: 0,
-                admission: VecDeque::new(),
-            });
-        }
-        let plan = plan.expect("at least one replica");
-        let schedule = self.cfg.schedule.clone();
-        // Ramps never invent clients mid-run: the pool is sized for the
-        // largest requested population up front, extra streams parked.
-        let capacity = (schedule.max_clients_factor() * clients as f64).ceil() as usize;
-        let transient = schedule
-            .enabled()
-            .then(|| TransientCollector::new(&schedule, self.cfg.warmup, self.cfg.end_time()));
-        let world = World {
-            replicas,
-            // Anchor the certifier at the seeded database version:
-            // writesets certify with their local base_version as-is.
-            certifier: Certifier::new_at(base_offset),
-            pool: ClientPool::with_capacity(plan, clients, capacity, self.cfg.seed),
-            metrics: Metrics::default(),
-            measuring: false,
-            rng: Rng::seed_from_u64(self.cfg.seed ^ 0xD15C_0FFE),
-            retries_exhausted: 0,
-            lb_delay: self.cfg.lb_delay,
+        let design = MultiMaster {
+            certifier: Certifier::new(),
             certifier_delay: self.cfg.certifier_delay,
-            mpl: self.cfg.mpl.max(1),
-            vacuum_interval: self.cfg.vacuum_interval,
-            end_time: self.cfg.end_time(),
             certifier_up: true,
             cert_stalled: VecDeque::new(),
-            stranded: VecDeque::new(),
-            base_clients: clients,
-            transient,
-            log_disk: self.cfg.durability.log_disk_demand(),
         };
-        let mut engine: Engine<World, Ev> = Engine::new(world);
-        for i in 0..clients {
-            client_cycle(&mut engine, ClientId(i));
-        }
-        engine.schedule_event_at(SimTime::from_secs(self.cfg.warmup), Ev::Warmup);
-        if self.cfg.vacuum_interval > 0.0 {
-            engine.schedule_event_in(self.cfg.vacuum_interval, Ev::Vacuum);
-        }
-        for te in schedule.sorted_events() {
-            engine.schedule_event_at(SimTime::from_secs(te.at), Ev::Inject(te.event));
-        }
-        let end = SimTime::from_secs(self.cfg.end_time());
-        engine.run_until(end);
-        let end_s = end.as_secs();
-        let w = engine.into_world();
-        let utils: Vec<(String, f64, f64)> = w
-            .replicas
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                (
-                    format!("replica{i}"),
-                    r.cpu.stats.busy.mean_at(end_s),
-                    r.disk.stats.busy.mean_at(end_s),
-                )
-            })
-            .collect();
-        let mut report = RunReport::from_metrics(
-            &self.spec.name,
-            n,
-            clients,
-            self.cfg.duration,
-            &w.metrics,
-            &utils,
-        );
-        report.transient = w.transient.map(TransientCollector::finalize);
-        report
+        cluster::run(&self.spec, &self.cfg, n, clients, design).0
     }
 }
 
-fn client_cycle(engine: &mut Engine<World, Ev>, client: ClientId) {
-    let think = engine.world_mut().pool.next_think(client);
-    engine.schedule_event_in(think, Ev::Think(client));
+/// The multi-master policy state: the certification service.
+struct MultiMaster {
+    certifier: Certifier,
+    certifier_delay: f64,
+    /// False during an injected certifier outage.
+    certifier_up: bool,
+    /// Certification requests stalled by an outage, drained in FIFO
+    /// order at restart (their stall time shows up as response time).
+    cert_stalled: VecDeque<CertRequest>,
 }
 
-/// Least-loaded live replica, if any.
-fn pick_up_replica(w: &World) -> Option<usize> {
-    w.replicas
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.state == ReplicaState::Up)
-        .min_by_key(|(_, r)| r.inflight)
-        .map(|(i, _)| i)
+/// An update whose writeset has reached the certification service.
+struct CertRequest {
+    /// The executed attempt (its local transaction is already aborted).
+    a: Attempt,
+    writeset: WriteSet,
 }
 
-/// Load balancer (after the LAN delay): forward to the least loaded
-/// replica.
-fn dispatch(engine: &mut Engine<World, Ev>, client: ClientId) {
-    // Population ramps: surplus clients go dormant between transactions.
-    if engine.world_mut().pool.park_if_surplus(client) {
-        return;
+/// Multi-master events: the certifier round trip elapsed.
+struct Certify(CertRequest);
+
+impl Policy for MultiMaster {
+    type Event = Certify;
+    const RNG_SALT: u64 = 0xD15C_0FFE;
+
+    /// Anchors the certifier at the seeded database version: writesets
+    /// certify with their local base_version as-is, and replicas retire
+    /// global versions from the next one.
+    fn seeded(&mut self, db: &mut Database) -> u64 {
+        self.certifier = Certifier::new_at(db.version());
+        db.version() + 1
     }
-    let (template, replica) = {
-        let w = engine.world_mut();
-        let template = w.pool.next_transaction(client);
-        (template, pick_up_replica(w))
-    };
-    let started = engine.now().as_secs();
-    match replica {
-        Some(replica) => {
-            engine.world_mut().replicas[replica].inflight += 1;
-            admit(engine, client, replica, template, started);
-        }
-        // Every replica is down: hold the transaction until one rejoins.
-        None => engine
-            .world_mut()
-            .stranded
-            .push_back((client, template, started)),
-    }
-}
 
-/// Re-routes a transaction whose replica crashed to a live one (or
-/// strands it when none is live). The attempt restarts from admission;
-/// the original dispatch timestamp is kept so the disruption shows up
-/// in its response time.
-fn failover(engine: &mut Engine<World, Ev>, client: ClientId, template: TxnTemplate, started: f64) {
-    match pick_up_replica(engine.world()) {
-        Some(replica) => {
-            engine.world_mut().replicas[replica].inflight += 1;
-            admit(engine, client, replica, template, started);
-        }
-        None => engine
-            .world_mut()
-            .stranded
-            .push_back((client, template, started)),
-    }
-}
-
-/// Drops an in-flight attempt whose replica died mid-execution and fails
-/// its client over. The dead replica's open snapshot is aborted so a
-/// later rejoin does not pin old versions.
-fn abandon_attempt(engine: &mut Engine<World, Ev>, a: Attempt) {
-    let _ = engine.world_mut().replicas[a.replica].db.abort(a.txn);
-    failover(engine, a.client, a.template, a.started);
-}
-
-/// Admission control (connection pool): at most `mpl` transactions execute
-/// concurrently per replica; excess arrivals wait without an open snapshot.
-fn admit(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    replica: usize,
-    template: TxnTemplate,
-    started: f64,
-) {
-    let admitted = {
-        let w = engine.world_mut();
-        let mpl = w.mpl;
-        let r = &mut w.replicas[replica];
-        if r.executing < mpl {
-            r.executing += 1;
-            true
-        } else {
-            r.admission.push_back((client, template.clone(), started));
-            false
-        }
-    };
-    if admitted {
-        start_attempt(engine, client, replica, template, started, 0);
-    }
-}
-
-/// Releases an admission slot, immediately admitting the next waiter (the
-/// slot transfers without touching the counter).
-fn release(engine: &mut Engine<World, Ev>, replica: usize) {
-    let next = {
-        let w = engine.world_mut();
-        let r = &mut w.replicas[replica];
-        match r.admission.pop_front() {
-            Some(next) => Some(next),
-            None => {
-                r.executing -= 1;
-                None
-            }
-        }
-    };
-    if let Some((client, template, started)) = next {
-        start_attempt(engine, client, replica, template, started, 0);
-    }
-}
-
-fn start_attempt(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    replica: usize,
-    template: TxnTemplate,
-    started: f64,
-    attempt: u32,
-) {
-    // GSI: the snapshot is the replica's latest *local* version at
-    // execution start; the conflict window spans execution plus
-    // certification.
-    let (txn, epoch) = {
+    /// Executes locally, extracts the writeset and sends it to the
+    /// certifier.
+    fn commit_update(engine: &mut Eng<Self>, a: Attempt) {
         let now = engine.now().as_secs();
         let w = engine.world_mut();
-        w.replicas[replica].db.set_time(now);
-        (w.replicas[replica].db.begin(), w.replicas[replica].epoch)
-    };
-    let cpu_demand = template.cpu_demand;
-    let attempt = Attempt {
-        client,
-        replica,
-        txn,
-        template,
-        started,
-        attempt,
-        epoch,
-    };
-    Ps::submit_event(
-        engine,
-        move |w: &mut World| &mut w.replicas[replica].cpu,
-        cpu_demand,
-        Ev::CpuDone(attempt),
-        move || Ev::CpuFired(replica),
-    );
-}
-
-fn complete_attempt(engine: &mut Engine<World, Ev>, a: Attempt) {
-    let now = engine.now().as_secs();
-    let Attempt {
-        client,
-        replica,
-        txn,
-        template,
-        started,
-        attempt,
-        epoch,
-    } = a;
-    if !template.is_update {
-        // Read-only: commit locally, no certification (GSI guarantee).
-        let w = engine.world_mut();
-        w.replicas[replica].db.set_time(now);
-        w.pool
-            .plan()
-            .execute(&mut w.replicas[replica].db, txn, &template)
-            .expect("workload references seeded tables");
-        w.replicas[replica]
-            .db
-            .commit(txn)
-            .expect("read-only transactions always commit");
-        respond(engine, client, replica, started, false);
-        return;
-    }
-    // Update: execute locally, extract the writeset, certify remotely.
-    let writeset = {
-        let w = engine.world_mut();
-        let db = &mut w.replicas[replica].db;
+        let db = &mut w.nodes[a.node].db;
         db.set_time(now);
         w.pool
             .plan()
-            .execute(db, txn, &template)
+            .execute(db, a.txn, &a.template)
             .expect("workload references seeded tables");
-        let ws = db.writeset_of(txn).expect("transaction is active");
+        let writeset = db.writeset_of(a.txn).expect("transaction is active");
         // Local effects are installed through the certified writeset in
         // global order; discard the local buffer. The certifier is
         // anchored at the seeded version, so the local base_version is
         // already in the global numbering.
-        db.abort(txn).expect("transaction is active");
-        ws
-    };
-    let cert_delay = engine.world().certifier_delay;
-    engine.schedule_event_in(
-        cert_delay,
-        Ev::Certify(CertRequest {
-            client,
-            replica,
-            template,
-            writeset,
-            started,
-            attempt,
-            epoch,
-        }),
-    );
+        db.abort(a.txn).expect("transaction is active");
+        let delay = w.design.certifier_delay;
+        engine.schedule_event_in(delay, Ev::Design(Certify(CertRequest { a, writeset })));
+    }
+
+    fn fire(engine: &mut Eng<Self>, Certify(request): Certify) {
+        certify(engine, request);
+    }
+
+    fn catchup(engine: &mut Eng<Self>, i: usize) {
+        catchup_step(engine, i);
+    }
+
+    fn certifier(engine: &mut Eng<Self>, up: bool) -> bool {
+        let mm = &mut engine.world_mut().design;
+        let changed = mm.certifier_up != up;
+        mm.certifier_up = up;
+        if changed && up {
+            // Re-certify the stalled requests in arrival order; their
+            // queueing time is part of their response time.
+            while let Some(req) = {
+                let mm = &mut engine.world_mut().design;
+                if mm.certifier_up {
+                    mm.cert_stalled.pop_front()
+                } else {
+                    None
+                }
+            } {
+                certify(engine, req);
+            }
+        }
+        changed
+    }
+
+    fn label(_w: &World<Self>, i: usize) -> String {
+        format!("replica{i}")
+    }
 }
 
 /// Resolves a certification round trip: commit propagates the writeset to
@@ -630,237 +170,31 @@ fn complete_attempt(engine: &mut Engine<World, Ev>, a: Attempt) {
 /// trip was in flight is dropped and its client fails over (the origin's
 /// local execution state is gone); during a certifier outage requests
 /// queue and are re-certified in order at restart.
-fn certify(engine: &mut Engine<World, Ev>, request: CertRequest) {
-    {
-        let r = &engine.world().replicas[request.replica];
-        if r.state != ReplicaState::Up || r.epoch != request.epoch {
-            failover(engine, request.client, request.template, request.started);
-            return;
-        }
-    }
-    if !engine.world().certifier_up {
-        engine.world_mut().cert_stalled.push_back(request);
+fn certify(engine: &mut Eng<MultiMaster>, request: CertRequest) {
+    let a = &request.a;
+    let origin = &engine.world().nodes[a.node];
+    if origin.state != NodeState::Up || origin.epoch != a.epoch {
+        let a = request.a;
+        cluster::route_any(engine, a.client, a.template, a.started);
         return;
     }
-    let CertRequest {
-        client,
-        replica,
-        template,
-        writeset,
-        started,
-        attempt,
-        epoch: _,
-    } = request;
-    let verdict = engine.world_mut().certifier.certify(&writeset);
-    match verdict {
-        Certification::Commit(version) => {
-            // Propagate to every live replica. The origin pays nothing
-            // (its execution already did the work) and retires
-            // immediately when the prefix allows; remote replicas first
-            // consume the sampled ws demands, then retire in order.
-            // Crashed or catching-up replicas are skipped — they recover
-            // the writeset from the certifier log when they rejoin.
-            let n = engine.world().replicas.len();
-            for r in 0..n {
-                if r == replica {
-                    mark_ready(engine, r, version, writeset.clone());
-                } else if engine.world().replicas[r].state == ReplicaState::Up {
-                    propagate(engine, r, version, writeset.clone());
-                }
-            }
-            respond(engine, client, replica, started, true);
-        }
-        Certification::Abort => {
-            let now = engine.now().as_secs();
-            {
-                let w = engine.world_mut();
-                if w.measuring {
-                    w.metrics.conflict_aborts += 1;
-                    if let Some(tc) = &mut w.transient {
-                        tc.abort(now);
-                    }
-                }
-            }
-            if attempt < MAX_RETRIES {
-                let retry = engine.world_mut().pool.resample_demands(client, &template);
-                start_attempt(engine, client, replica, retry, started, attempt + 1);
-            } else {
-                engine.world_mut().retries_exhausted += 1;
-                respond(engine, client, replica, started, true);
-            }
-        }
-    }
-}
-
-/// Records a completed transaction and returns the client to think state.
-fn respond(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    replica: usize,
-    started: f64,
-    update: bool,
-) {
-    let now = engine.now().as_secs();
-    release(engine, replica);
-    {
-        let w = engine.world_mut();
-        w.replicas[replica].inflight -= 1;
-        if w.measuring {
-            if update {
-                w.metrics.update_commits += 1;
-                w.metrics.update_response.record(now - started);
-            } else {
-                w.metrics.read_commits += 1;
-                w.metrics.read_response.record(now - started);
-            }
-            w.metrics.response.record(now - started);
-            if let Some(tc) = &mut w.transient {
-                tc.commit(now, now - started, update);
-            }
-        }
-    }
-    client_cycle(engine, client);
-}
-
-/// Consumes the ws resource demands for a remote writeset, then queues it
-/// for in-order retirement.
-fn propagate(engine: &mut Engine<World, Ev>, replica: usize, version: u64, writeset: WriteSet) {
-    let (ws_cpu, ws_disk) = {
-        let w = engine.world_mut();
-        let (mean_cpu, mean_disk) = {
-            let spec = w.pool.spec();
-            (spec.ws_cpu, spec.ws_disk)
-        };
-        (w.rng.exp(mean_cpu), w.rng.exp(mean_disk))
-    };
-    Ps::submit_event(
-        engine,
-        move |w: &mut World| &mut w.replicas[replica].cpu,
-        ws_cpu,
-        Ev::WsCpuDone(WsApply {
-            replica,
-            version,
-            writeset,
-            ws_disk,
-        }),
-        move || Ev::CpuFired(replica),
-    );
-}
-
-/// Retires ready writesets into the replica database in strict global
-/// order, so the local version always equals a prefix of the certifier log.
-///
-/// Versions below `apply_next` are stale duplicates (a rejoined replica
-/// already replayed them from the certifier log) and are discarded.
-fn mark_ready(engine: &mut Engine<World, Ev>, replica: usize, version: u64, writeset: WriteSet) {
     let w = engine.world_mut();
-    let r = &mut w.replicas[replica];
-    if version < r.apply_next {
+    if !w.design.certifier_up {
+        w.design.cert_stalled.push_back(request);
         return;
     }
-    r.apply_ready.insert(version, writeset);
-    while let Some(entry) = r.apply_ready.first_entry() {
-        if *entry.key() < r.apply_next {
-            entry.remove();
-            continue;
+    let CertRequest { a, writeset } = request;
+    match w.design.certifier.certify(&writeset) {
+        Certification::Commit(version) => {
+            // Remote replicas first consume the sampled ws demands, then
+            // retire in order; the origin pays nothing (its execution
+            // already did the work) and retires as soon as the prefix
+            // allows.
+            cluster::broadcast(engine, a.node, version, &writeset);
+            cluster::mark_ready(engine, a.node, version, writeset);
+            cluster::respond(engine, a.client, a.node, a.started, Some(true));
         }
-        if *entry.key() != r.apply_next {
-            break;
-        }
-        let ws = entry.remove();
-        r.db.apply_writeset(&ws)
-            .expect("writeset references seeded tables");
-        r.apply_next += 1;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Schedule injection: crash / rejoin / certifier outage / ramps.
-// ---------------------------------------------------------------------
-
-/// Applies one injected schedule event and echoes it into the transient
-/// report. Events that cannot apply (unknown replica index — legal when
-/// one schedule drives a sweep over several cluster sizes — or a state
-/// they would not change) are acknowledged as ignored.
-fn inject(engine: &mut Engine<World, Ev>, ev: ScheduleEvent) {
-    let now = engine.now().as_secs();
-    let n = engine.world().replicas.len();
-    let applied = match ev {
-        ScheduleEvent::ReplicaCrash(i) => {
-            if i < n && engine.world().replicas[i].state == ReplicaState::Up {
-                crash_replica(engine, i);
-                true
-            } else {
-                false
-            }
-        }
-        ScheduleEvent::ReplicaJoin(i) => {
-            if i < n && engine.world().replicas[i].state == ReplicaState::Down {
-                engine.world_mut().replicas[i].state = ReplicaState::CatchingUp;
-                catchup_step(engine, i);
-                true
-            } else {
-                false
-            }
-        }
-        ScheduleEvent::CertifierDown => {
-            let w = engine.world_mut();
-            let was_up = w.certifier_up;
-            w.certifier_up = false;
-            was_up
-        }
-        ScheduleEvent::CertifierUp => {
-            let w = engine.world_mut();
-            let was_down = !w.certifier_up;
-            w.certifier_up = true;
-            if was_down {
-                // Re-certify the stalled requests in arrival order; their
-                // queueing time is part of their response time.
-                while let Some(req) = {
-                    let w = engine.world_mut();
-                    if w.certifier_up {
-                        w.cert_stalled.pop_front()
-                    } else {
-                        None
-                    }
-                } {
-                    certify(engine, req);
-                }
-            }
-            was_down
-        }
-        ScheduleEvent::Clients(factor) => {
-            set_population(engine, factor);
-            true
-        }
-    };
-    let description = if applied {
-        ev.to_string()
-    } else {
-        format!("{ev} (ignored)")
-    };
-    if let Some(tc) = &mut engine.world_mut().transient {
-        tc.event(now, description);
-    }
-}
-
-/// Crashes a replica: it stops serving, queued arrivals fail over to the
-/// survivors, and pending writeset applications are dropped (they will
-/// be recovered from the certifier log on rejoin). In-flight attempts
-/// are intercepted as their events fire.
-fn crash_replica(engine: &mut Engine<World, Ev>, i: usize) {
-    let waiting = {
-        let w = engine.world_mut();
-        let r = &mut w.replicas[i];
-        r.state = ReplicaState::Down;
-        r.epoch += 1;
-        r.executing = 0;
-        r.inflight = 0;
-        r.apply_ready.clear();
-        std::mem::take(&mut r.admission)
-    };
-    for (client, template, started) in waiting {
-        failover(engine, client, template, started);
+        Certification::Abort => cluster::retry(engine, a),
     }
 }
 
@@ -868,59 +202,31 @@ fn crash_replica(engine: &mut Engine<World, Ev>, i: usize) {
 /// missed, pay the state-transfer lag (missed count × mean ws demands —
 /// deterministic, no RNG draws), then re-check. When no new writesets
 /// accumulated during the lag the replica is caught up and takes load.
-fn catchup_step(engine: &mut Engine<World, Ev>, i: usize) {
-    let lag = {
-        let w = engine.world_mut();
-        if w.replicas[i].state != ReplicaState::CatchingUp {
-            return;
-        }
-        let applied = w.replicas[i].apply_next - 1;
-        let target = w.certifier.version();
-        if applied >= target {
-            w.replicas[i].state = ReplicaState::Up;
-            None
-        } else {
-            let missed: Vec<WriteSet> = w.certifier.writesets_between(applied, target).to_vec();
-            let (ws_cpu, ws_disk) = {
-                let spec = w.pool.spec();
-                (spec.ws_cpu, spec.ws_disk)
-            };
-            let r = &mut w.replicas[i];
-            for ws in &missed {
-                r.db.apply_writeset(ws)
-                    .expect("writeset references seeded tables");
-            }
-            r.apply_next = target + 1;
-            Some(missed.len() as f64 * (ws_cpu + ws_disk))
-        }
+fn catchup_step(engine: &mut Eng<MultiMaster>, i: usize) {
+    let w = engine.world_mut();
+    if w.nodes[i].state != NodeState::CatchingUp {
+        return;
+    }
+    let applied = w.nodes[i].apply_next - 1;
+    let target = w.design.certifier.version();
+    if applied >= target {
+        w.nodes[i].state = NodeState::Up;
+        cluster::drain_stranded(engine);
+        return;
+    }
+    let missed = w.design.certifier.writesets_between(applied, target);
+    let (ws_cpu, ws_disk) = {
+        let spec = w.pool.spec();
+        (spec.ws_cpu, spec.ws_disk)
     };
-    match lag {
-        Some(lag) => {
-            engine.schedule_event_in(lag.max(f64::MIN_POSITIVE), Ev::CatchupDone(i));
-        }
-        None => drain_stranded(engine),
+    let r = &mut w.nodes[i];
+    for ws in missed {
+        r.db.apply_writeset(ws)
+            .expect("writeset references seeded tables");
     }
-}
-
-/// Restarts transactions that stranded while no replica was live.
-fn drain_stranded(engine: &mut Engine<World, Ev>) {
-    while let Some((client, template, started)) = engine.world_mut().stranded.pop_front() {
-        failover(engine, client, template, started);
-    }
-}
-
-/// Applies a client-population ramp: the target moves to
-/// `factor × base`, parked clients below it restart their closed loop,
-/// surplus clients park at their next dispatch.
-fn set_population(engine: &mut Engine<World, Ev>, factor: f64) {
-    let woken = {
-        let w = engine.world_mut();
-        let target = (factor * w.base_clients as f64).round() as usize;
-        w.pool.set_active_target(target)
-    };
-    for client in woken {
-        client_cycle(engine, client);
-    }
+    r.apply_next = target + 1;
+    let lag = missed.len() as f64 * (ws_cpu + ws_disk);
+    engine.schedule_event_in(lag.max(f64::MIN_POSITIVE), Ev::CatchupDone(i));
 }
 
 #[cfg(test)]

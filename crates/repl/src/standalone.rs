@@ -5,36 +5,24 @@
 //! scalability curve. One database engine, one CPU (processor sharing),
 //! one disk (FCFS), `C` closed-loop clients.
 //!
-//! The simulation runs on the engine's *typed event* path: every event is
-//! a variant of the private `Ev` enum stored inline in the engine's slab,
-//! so the steady-state loop performs no per-event allocation.
+//! It is the one-node case of the shared `cluster` core: clients submit
+//! directly (no load-balancer hop), updates commit locally, nothing
+//! propagates, and cluster schedule events (crashes, rejoins, certifier
+//! outages) are acknowledged as ignored.
 
-use std::collections::VecDeque;
-
-use replipred_core::ScheduleEvent;
-use replipred_sidb::{Database, TxnId};
-use replipred_sim::engine::{Engine, Event};
-use replipred_sim::resource::{Fcfs, Ps, ServiceToken};
-use replipred_sim::SimTime;
-use replipred_workload::client::{ClientId, ClientPool};
+use replipred_sidb::Database;
+use replipred_workload::client::ClientId;
 use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
 
+use crate::cluster::{self, Attempt, Eng, Policy, World};
 use crate::config::SimConfig;
-use crate::metrics::{Metrics, RunReport};
-use crate::transient::TransientCollector;
-
-/// Abandon a transaction after this many certification-failure retries
-/// (a liveness backstop; the paper's RTEs retry indefinitely).
-const MAX_RETRIES: u32 = 1000;
+use crate::metrics::RunReport;
 
 /// One-node closed-loop simulation.
 pub struct StandaloneSim {
     spec: WorkloadSpec,
     cfg: SimConfig,
-    /// Restrict sampling to a transaction subset (profiler replay mode).
-    filter: TxnFilter,
-    /// Enable the engine's statement log (`log_statement` equivalent).
-    log_statements: bool,
+    design: Standalone,
 }
 
 /// Which transactions the clients submit (profiler log-replay segments).
@@ -57,124 +45,64 @@ pub struct StandaloneOutcome {
     pub db: Database,
 }
 
-struct World {
-    db: Database,
-    cpu: Ps<World, Ev>,
-    disk: Fcfs<World, Ev>,
-    /// Clients and their compiled statement plan (`pool.plan()`).
-    pool: ClientPool,
-    metrics: Metrics,
-    measuring: bool,
+/// The standalone policy state.
+struct Standalone {
+    /// Restrict sampling to a transaction subset (profiler replay mode).
     filter: TxnFilter,
-    retries_exhausted: u64,
-    mpl: usize,
-    /// Transactions currently executing (holding an admission slot).
-    executing: usize,
-    /// Arrivals waiting for an admission slot (connection pool).
-    admission: VecDeque<(ClientId, TxnTemplate, f64)>,
-    /// Vacuum interval, seconds (0 disables).
-    vacuum_interval: f64,
-    /// End of the simulated horizon (no vacuums past it).
-    end_time: f64,
-    /// The configured base client population (ramp factors are relative
-    /// to this).
-    base_clients: usize,
-    /// Windowed transient metrics; `None` unless a schedule is active.
-    transient: Option<TransientCollector>,
-    /// Amortized group-commit disk surcharge per logged commit
-    /// (`DurabilityConfig::log_disk_demand`; 0 with durability off).
-    log_disk: f64,
+    /// Enable the engine's statement log (`log_statement` equivalent).
+    log_statements: bool,
 }
 
-/// One in-flight transaction attempt moving through the CPU→disk phases.
-struct Attempt {
-    client: ClientId,
-    txn: TxnId,
-    template: TxnTemplate,
-    started: f64,
-    attempt: u32,
-}
+/// The standalone design has no events of its own.
+enum NoEvent {}
 
-/// The typed event vocabulary of the standalone simulation.
-enum Ev {
-    /// A client finished thinking and submits its next transaction.
-    Think(ClientId),
-    /// An attempt finished its CPU phase; the disk phase follows.
-    CpuDone(Attempt),
-    /// An attempt finished its disk phase; commit or retry.
-    DiskDone(Attempt),
-    /// End of warm-up: discard all measurements.
-    Warmup,
-    /// Periodic version GC.
-    Vacuum,
-    /// An injected schedule event (only population ramps apply to a
-    /// single node; cluster events are acknowledged as ignored).
-    Inject(ScheduleEvent),
-    /// Internal PS completion (see [`Ps::on_fired`]).
-    CpuFired,
-    /// Internal FCFS completion (see [`Fcfs::on_fired`]).
-    DiskFired(ServiceToken),
-}
+impl Policy for Standalone {
+    type Event = NoEvent;
+    /// Unused: a single node never propagates writesets.
+    const RNG_SALT: u64 = 0;
+    const FAULTS: bool = false;
+    const LB_HOP: bool = false;
 
-impl Event<World> for Ev {
-    fn fire(self, engine: &mut Engine<World, Ev>) {
-        match self {
-            Ev::Think(client) => dispatch(engine, client),
-            Ev::CpuDone(attempt) => {
-                // Update attempts pay the redo-log group-commit share on
-                // top of their sampled disk demand (zero with durability
-                // off — the surcharge never touches the RNG stream).
-                let log_disk = if attempt.template.is_update {
-                    engine.world().log_disk
-                } else {
-                    0.0
-                };
-                let disk_demand = attempt.template.disk_demand + log_disk;
-                Fcfs::submit_event(
-                    engine,
-                    disk_lens,
-                    disk_demand,
-                    Ev::DiskDone(attempt),
-                    Ev::DiskFired,
-                );
+    /// Seeding operations are not logged; only client transactions are.
+    fn seeded(&mut self, db: &mut Database) -> u64 {
+        if self.log_statements {
+            db.set_statement_logging(true);
+        }
+        1
+    }
+
+    /// Rejection-samples to honor the profiler's replay filter.
+    fn next_transaction(w: &mut World<Self>, client: ClientId) -> TxnTemplate {
+        let mut t = w.pool.next_transaction(client);
+        let mut guard = 0;
+        loop {
+            let ok = match w.design.filter {
+                TxnFilter::All => true,
+                TxnFilter::ReadsOnly => !t.is_update,
+                TxnFilter::UpdatesOnly => t.is_update,
+            };
+            if ok || guard > 10_000 {
+                return t;
             }
-            Ev::DiskDone(a) => {
-                complete_attempt(engine, a.client, a.txn, a.template, a.started, a.attempt)
-            }
-            Ev::Warmup => {
-                let now = engine.now().as_secs();
-                let w = engine.world_mut();
-                w.metrics.reset();
-                w.db.reset_stats();
-                // Discard warm-up log totals so the capture covers
-                // exactly the measurement window (the paper's 15-minute
-                // capture).
-                w.db.reset_log();
-                w.cpu.stats.reset(now);
-                w.disk.stats.reset(now);
-                w.measuring = true;
-            }
-            Ev::Vacuum => {
-                let w = engine.world_mut();
-                w.db.vacuum();
-                let interval = w.vacuum_interval;
-                let next = engine.now().as_secs() + interval;
-                if next < engine.world().end_time {
-                    engine.schedule_event_in(interval, Ev::Vacuum);
-                }
-            }
-            Ev::Inject(ev) => inject(engine, ev),
-            Ev::CpuFired => Ps::on_fired(engine, cpu_lens, || Ev::CpuFired),
-            Ev::DiskFired(token) => Fcfs::on_fired(engine, disk_lens, token, Ev::DiskFired),
+            t = w.pool.next_transaction(client);
+            guard += 1;
         }
     }
-}
 
-fn cpu_lens(w: &mut World) -> &mut Ps<World, Ev> {
-    &mut w.cpu
-}
-fn disk_lens(w: &mut World) -> &mut Fcfs<World, Ev> {
-    &mut w.disk
+    /// The snapshot was taken when execution started, so the update's
+    /// conflict window spans its whole execution, as in the paper's
+    /// standalone definition.
+    fn commit_update(engine: &mut Eng<Self>, a: Attempt) {
+        cluster::commit_locally(engine, a, |_, _, _, _| {});
+    }
+
+    fn fire(_engine: &mut Eng<Self>, ev: NoEvent) {
+        match ev {}
+    }
+
+    fn label(_w: &World<Self>, _i: usize) -> String {
+        "db".to_string()
+    }
 }
 
 impl StandaloneSim {
@@ -183,8 +111,10 @@ impl StandaloneSim {
         StandaloneSim {
             spec,
             cfg,
-            filter: TxnFilter::All,
-            log_statements: false,
+            design: Standalone {
+                filter: TxnFilter::All,
+                log_statements: false,
+            },
         }
     }
 
@@ -196,13 +126,13 @@ impl StandaloneSim {
     /// Turns on statement logging (the profiler's raw input). Seeding
     /// operations are not logged; only client transactions are.
     pub fn with_statement_log(mut self) -> Self {
-        self.log_statements = true;
+        self.design.log_statements = true;
         self
     }
 
     /// Restricts the submitted transactions (profiler replay segments).
     pub fn with_filter(mut self, filter: TxnFilter) -> Self {
-        self.filter = filter;
+        self.design.filter = filter;
         self
     }
 
@@ -215,279 +145,14 @@ impl StandaloneSim {
     /// (a workload-spec bug, not a data error).
     pub fn run_with_db(self) -> StandaloneOutcome {
         let clients = self.spec.clients_per_replica;
-        let mut db = Database::new();
-        let plan = self
-            .spec
-            .install(&mut db, self.cfg.seed_scale)
-            .expect("workload installs on a fresh database");
-        if self.log_statements {
-            db.set_statement_logging(true);
-        }
-        let schedule = self.cfg.schedule.clone();
-        // Ramps never invent clients mid-run: the pool is sized for the
-        // largest requested population up front, extra streams parked.
-        let capacity = (schedule.max_clients_factor() * clients as f64).ceil() as usize;
-        let transient = schedule
-            .enabled()
-            .then(|| TransientCollector::new(&schedule, self.cfg.warmup, self.cfg.end_time()));
-        let pool = ClientPool::with_capacity(plan, clients, capacity, self.cfg.seed);
-        let world = World {
-            db,
-            cpu: Ps::new(1.0),
-            disk: Fcfs::new(1),
-            pool,
-            metrics: Metrics::default(),
-            measuring: false,
-            filter: self.filter,
-            retries_exhausted: 0,
-            mpl: self.cfg.mpl.max(1),
-            executing: 0,
-            admission: VecDeque::new(),
-            vacuum_interval: self.cfg.vacuum_interval,
-            end_time: self.cfg.end_time(),
-            base_clients: clients,
-            transient,
-            log_disk: self.cfg.durability.log_disk_demand(),
-        };
-        let mut engine: Engine<World, Ev> = Engine::new(world);
-        for i in 0..clients {
-            client_cycle(&mut engine, ClientId(i));
-        }
-        // End of warm-up: discard all measurements.
-        engine.schedule_event_at(SimTime::from_secs(self.cfg.warmup), Ev::Warmup);
-        if self.cfg.vacuum_interval > 0.0 {
-            engine.schedule_event_in(self.cfg.vacuum_interval, Ev::Vacuum);
-        }
-        for te in schedule.sorted_events() {
-            engine.schedule_event_at(SimTime::from_secs(te.at), Ev::Inject(te.event));
-        }
-        let end = SimTime::from_secs(self.cfg.end_time());
-        engine.run_until(end);
-        let end_s = end.as_secs();
-        let w = engine.into_world();
-        let utils = vec![(
-            "db".to_string(),
-            w.cpu.stats.busy.mean_at(end_s),
-            w.disk.stats.busy.mean_at(end_s),
-        )];
-        let mut report = RunReport::from_metrics(
-            &self.spec.name,
-            1,
-            clients,
-            self.cfg.duration,
-            &w.metrics,
-            &utils,
-        );
-        report.transient = w.transient.map(TransientCollector::finalize);
-        StandaloneOutcome { report, db: w.db }
+        let (report, mut w) = cluster::run(&self.spec, &self.cfg, 1, clients, self.design);
+        let db = w.nodes.pop().expect("one node").db;
+        StandaloneOutcome { report, db }
     }
 
     /// Runs the simulation, returning only the report.
     pub fn run(self) -> RunReport {
         self.run_with_db().report
-    }
-}
-
-fn client_cycle(engine: &mut Engine<World, Ev>, client: ClientId) {
-    let think = engine.world_mut().pool.next_think(client);
-    engine.schedule_event_in(think, Ev::Think(client));
-}
-
-fn dispatch(engine: &mut Engine<World, Ev>, client: ClientId) {
-    // Population ramps: surplus clients go dormant between transactions.
-    if engine.world_mut().pool.park_if_surplus(client) {
-        return;
-    }
-    let template = {
-        let w = engine.world_mut();
-        let mut t = w.pool.next_transaction(client);
-        // Rejection-sample to honor the profiler's replay filter.
-        let mut guard = 0;
-        loop {
-            let ok = match w.filter {
-                TxnFilter::All => true,
-                TxnFilter::ReadsOnly => !t.is_update,
-                TxnFilter::UpdatesOnly => t.is_update,
-            };
-            if ok || guard > 10_000 {
-                break;
-            }
-            t = w.pool.next_transaction(client);
-            guard += 1;
-        }
-        t
-    };
-    let started = engine.now().as_secs();
-    admit(engine, client, template, started);
-}
-
-/// Admission control (connection pool): at most `mpl` transactions execute
-/// concurrently; excess arrivals wait without an open snapshot.
-fn admit(engine: &mut Engine<World, Ev>, client: ClientId, template: TxnTemplate, started: f64) {
-    let admitted = {
-        let w = engine.world_mut();
-        if w.executing < w.mpl {
-            w.executing += 1;
-            true
-        } else {
-            w.admission.push_back((client, template.clone(), started));
-            false
-        }
-    };
-    if admitted {
-        start_attempt(engine, client, template, started, 0);
-    }
-}
-
-/// Releases an admission slot, immediately admitting the next waiter.
-fn release(engine: &mut Engine<World, Ev>) {
-    let next = {
-        let w = engine.world_mut();
-        match w.admission.pop_front() {
-            Some(next) => Some(next),
-            None => {
-                w.executing -= 1;
-                None
-            }
-        }
-    };
-    if let Some((client, template, started)) = next {
-        start_attempt(engine, client, template, started, 0);
-    }
-}
-
-fn start_attempt(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    template: TxnTemplate,
-    started: f64,
-    attempt: u32,
-) {
-    // The snapshot is taken when execution starts: the transaction's
-    // conflict window spans its whole (simulated) execution, as in the
-    // paper's standalone definition.
-    let txn = {
-        let now = engine.now().as_secs();
-        let w = engine.world_mut();
-        w.db.set_time(now);
-        w.db.begin()
-    };
-    let cpu_demand = template.cpu_demand;
-    let attempt = Attempt {
-        client,
-        txn,
-        template,
-        started,
-        attempt,
-    };
-    Ps::submit_event(engine, cpu_lens, cpu_demand, Ev::CpuDone(attempt), || {
-        Ev::CpuFired
-    });
-}
-
-fn complete_attempt(
-    engine: &mut Engine<World, Ev>,
-    client: ClientId,
-    txn: replipred_sidb::TxnId,
-    template: TxnTemplate,
-    started: f64,
-    attempt: u32,
-) {
-    let now = engine.now().as_secs();
-    let committed = {
-        let w = engine.world_mut();
-        w.db.set_time(now);
-        // The snapshot was taken at start_attempt; executing the logical
-        // operations now and committing gives the transaction a conflict
-        // window equal to its whole execution time.
-        w.pool
-            .plan()
-            .execute(&mut w.db, txn, &template)
-            .expect("workload references seeded tables");
-        match w.db.commit(txn) {
-            Ok(_) => {
-                if w.measuring {
-                    if template.is_update {
-                        w.metrics.update_commits += 1;
-                        w.metrics.update_response.record(now - started);
-                    } else {
-                        w.metrics.read_commits += 1;
-                        w.metrics.read_response.record(now - started);
-                    }
-                    w.metrics.response.record(now - started);
-                    if let Some(tc) = &mut w.transient {
-                        tc.commit(now, now - started, template.is_update);
-                    }
-                }
-                true
-            }
-            Err(e) if e.is_conflict() => {
-                if w.measuring {
-                    w.metrics.conflict_aborts += 1;
-                    if let Some(tc) = &mut w.transient {
-                        tc.abort(now);
-                    }
-                }
-                false
-            }
-            Err(e) => panic!("unexpected engine error: {e}"),
-        }
-    };
-    if committed {
-        release(engine);
-        client_cycle(engine, client);
-    } else if attempt < MAX_RETRIES {
-        // Immediate retry with fresh demand samples (paper Section 6.1).
-        let retry = engine.world_mut().pool.resample_demands(client, &template);
-        start_attempt(engine, client, retry, started, attempt + 1);
-    } else {
-        engine.world_mut().retries_exhausted += 1;
-        release(engine);
-        client_cycle(engine, client);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Schedule injection: a single node only honors population ramps.
-// ---------------------------------------------------------------------
-
-/// Applies one injected schedule event and echoes it into the transient
-/// report. Cluster events (crash/rejoin/certifier) have no meaning on
-/// one node and are acknowledged as ignored — a shared schedule can
-/// drive a standalone baseline next to the cluster designs.
-fn inject(engine: &mut Engine<World, Ev>, ev: ScheduleEvent) {
-    let now = engine.now().as_secs();
-    let applied = match ev {
-        ScheduleEvent::Clients(factor) => {
-            set_population(engine, factor);
-            true
-        }
-        ScheduleEvent::ReplicaCrash(_)
-        | ScheduleEvent::ReplicaJoin(_)
-        | ScheduleEvent::CertifierDown
-        | ScheduleEvent::CertifierUp => false,
-    };
-    if let Some(tc) = &mut engine.world_mut().transient {
-        let description = if applied {
-            ev.to_string()
-        } else {
-            format!("{ev} (ignored)")
-        };
-        tc.event(now, description);
-    }
-}
-
-/// Applies a client-population ramp: the target moves to
-/// `factor × base`, parked clients below it restart their closed loop,
-/// surplus clients park at their next dispatch.
-fn set_population(engine: &mut Engine<World, Ev>, factor: f64) {
-    let woken = {
-        let w = engine.world_mut();
-        let target = (factor * w.base_clients as f64).round() as usize;
-        w.pool.set_active_target(target)
-    };
-    for client in woken {
-        client_cycle(engine, client);
     }
 }
 

@@ -3,18 +3,11 @@
 //! # Event representation
 //!
 //! The engine is generic over the *event type* `E`, which must implement
-//! [`Event`]. Two modes of use:
-//!
-//! - **Boxed closures** (the default, `E =` [`BoxedEvent`]): events are
-//!   `FnOnce(&mut Engine<W>)` closures scheduled with
-//!   [`Engine::schedule_at`] / [`Engine::schedule_in`]. Convenient, but
-//!   every event costs a heap allocation.
-//! - **Typed events**: the simulation defines its own event enum,
-//!   implements [`Event`] for it, and schedules values with
-//!   [`Engine::schedule_event_at`] / [`Engine::schedule_event_in`]. Event
-//!   payloads are stored inline in a slab whose slots are recycled, so the
-//!   steady-state event loop performs *no* per-event allocation. The hot
-//!   simulators in `replipred-repl` use this mode.
+//! [`Event`]: the simulation defines its own event enum and schedules
+//! values with [`Engine::schedule_event_at`] /
+//! [`Engine::schedule_event_in`]. Event payloads are stored inline in a
+//! slab whose slots are recycled, so the steady-state event loop performs
+//! *no* per-event allocation.
 //!
 //! # Storage and cancellation
 //!
@@ -48,28 +41,6 @@ pub trait Event<W>: Sized + 'static {
     /// event's scheduled time.
     fn fire(self, engine: &mut Engine<W, Self>);
 }
-
-/// The default event type: a boxed `FnOnce` closure.
-///
-/// This is what [`Engine::schedule_at`] / [`Engine::schedule_in`] wrap
-/// their callbacks in, preserving the original closure-based API.
-pub struct BoxedEvent<W>(EventFn<W>);
-
-impl<W> BoxedEvent<W> {
-    /// Wraps a closure as an event.
-    pub fn new(action: impl FnOnce(&mut Engine<W>) + 'static) -> Self {
-        BoxedEvent(Box::new(action))
-    }
-}
-
-impl<W: 'static> Event<W> for BoxedEvent<W> {
-    fn fire(self, engine: &mut Engine<W>) {
-        (self.0)(engine)
-    }
-}
-
-/// An event callback (the boxed closure form).
-pub type EventFn<W> = Box<dyn FnOnce(&mut Engine<W>)>;
 
 /// Identifier of a scheduled event, used for cancellation.
 ///
@@ -125,12 +96,12 @@ impl Ord for HeapEntry {
 }
 
 /// Discrete-event simulation engine over a world type `W` and an event
-/// type `E` (default: boxed closures).
+/// type `E`.
 ///
 /// The world holds all domain state (replicas, clients, resources); events
 /// receive `&mut Engine<W, E>` and may inspect/mutate the world and
 /// schedule further events.
-pub struct Engine<W, E = BoxedEvent<W>> {
+pub struct Engine<W, E> {
     clock: SimTime,
     /// Cached minimum: always earlier (by `(at, seq)`) than every entry in
     /// `heap` when `Some`. The schedule→fire chain pattern — exactly one
@@ -371,104 +342,96 @@ impl<W, E: Event<W>> Engine<W, E> {
     }
 }
 
-impl<W: 'static> Engine<W> {
-    /// Schedules a closure to run at absolute time `at` (boxed-event
-    /// engines only; see [`Engine::schedule_event_at`] for the unboxed
-    /// path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is in the past.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        action: impl FnOnce(&mut Engine<W>) + 'static,
-    ) -> EventId {
-        self.schedule_event_at(at, BoxedEvent::new(action))
-    }
-
-    /// Schedules a closure to run `delay` seconds from now (boxed-event
-    /// engines only; see [`Engine::schedule_event_in`] for the unboxed
-    /// path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is negative or NaN.
-    pub fn schedule_in(
-        &mut self,
-        delay: f64,
-        action: impl FnOnce(&mut Engine<W>) + 'static,
-    ) -> EventId {
-        self.schedule_event_in(delay, BoxedEvent::new(action))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+
+    /// Test world: a running total plus the firing order of tagged
+    /// events.
+    #[derive(Default)]
+    struct W {
+        total: u32,
+        order: Vec<u32>,
+    }
+
+    enum Tick {
+        /// Adds to the total.
+        Add(u32),
+        /// Records its tag in firing order.
+        Tag(u32),
+        /// Adds one and reschedules itself until the total reaches 10.
+        Chain,
+    }
+
+    impl Event<W> for Tick {
+        fn fire(self, engine: &mut Engine<W, Tick>) {
+            match self {
+                Tick::Add(x) => engine.world_mut().total += x,
+                Tick::Tag(tag) => engine.world_mut().order.push(tag),
+                Tick::Chain => {
+                    engine.world_mut().total += 1;
+                    if engine.world().total < 10 {
+                        engine.schedule_event_in(0.5, Tick::Chain);
+                    }
+                }
+            }
+        }
+    }
+
+    fn engine() -> Engine<W, Tick> {
+        Engine::new(W::default())
+    }
 
     #[test]
     fn events_fire_in_time_order() {
-        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
-        let mut engine = Engine::new(());
+        let mut engine = engine();
         for (t, tag) in [(3.0, 3u32), (1.0, 1), (2.0, 2)] {
-            let log = Rc::clone(&log);
-            engine.schedule_in(t, move |_| log.borrow_mut().push(tag));
+            engine.schedule_event_in(t, Tick::Tag(tag));
         }
         engine.run();
-        assert_eq!(*log.borrow(), vec![1, 2, 3]);
+        assert_eq!(engine.world().order, vec![1, 2, 3]);
         assert_eq!(engine.events_executed(), 3);
     }
 
     #[test]
     fn ties_fire_in_schedule_order() {
-        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
-        let mut engine = Engine::new(());
+        let mut engine = engine();
         for tag in 0..5u32 {
-            let log = Rc::clone(&log);
-            engine.schedule_in(1.0, move |_| log.borrow_mut().push(tag));
+            engine.schedule_event_in(1.0, Tick::Tag(tag));
         }
         engine.run();
-        assert_eq!(*log.borrow(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(engine.world().order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn events_can_schedule_events() {
-        let mut engine = Engine::new(0u32);
-        fn tick(engine: &mut Engine<u32>) {
-            *engine.world_mut() += 1;
-            if *engine.world() < 10 {
-                engine.schedule_in(0.5, tick);
-            }
-        }
-        engine.schedule_in(0.5, tick);
+        let mut engine = engine();
+        engine.schedule_event_in(0.5, Tick::Chain);
         engine.run();
-        assert_eq!(*engine.world(), 10);
+        assert_eq!(engine.world().total, 10);
         assert!((engine.now().as_secs() - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn cancel_prevents_execution() {
-        let mut engine = Engine::new(0u32);
-        let id = engine.schedule_in(1.0, |e| *e.world_mut() += 1);
-        engine.schedule_in(2.0, |e| *e.world_mut() += 10);
+        let mut engine = engine();
+        let id = engine.schedule_event_in(1.0, Tick::Add(1));
+        engine.schedule_event_in(2.0, Tick::Add(10));
         engine.cancel(id);
         engine.run();
-        assert_eq!(*engine.world(), 10);
+        assert_eq!(engine.world().total, 10);
         assert_eq!(engine.events_executed(), 1);
     }
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        let mut engine = Engine::new(0u32);
-        let id = engine.schedule_in(1.0, |e| *e.world_mut() += 1);
+        let mut engine = engine();
+        let id = engine.schedule_event_in(1.0, Tick::Add(1));
         engine.run();
         engine.cancel(id);
-        engine.schedule_in(1.0, |e| *e.world_mut() += 1);
+        engine.schedule_event_in(1.0, Tick::Add(1));
         engine.run();
-        assert_eq!(*engine.world(), 2);
+        assert_eq!(engine.world().total, 2);
     }
 
     #[test]
@@ -478,15 +441,15 @@ mod tests {
         // not corrupt the pending count (the old side-table design leaked
         // fired/duplicate ids into `cancelled`, making `events_pending` =
         // `heap.len() - cancelled.len()` wrong and underflow-prone).
-        let mut engine = Engine::new(0u32);
-        let a = engine.schedule_in(1.0, |e| *e.world_mut() += 1);
+        let mut engine = engine();
+        let a = engine.schedule_event_in(1.0, Tick::Add(1));
         engine.run();
         // `b` reuses slot 0 (freed when `a` fired) at a new generation.
-        let b = engine.schedule_in(1.0, |e| *e.world_mut() += 10);
+        let b = engine.schedule_event_in(1.0, Tick::Add(10));
         engine.cancel(a); // stale: must be a no-op
         assert_eq!(engine.events_pending(), 1);
         engine.run();
-        assert_eq!(*engine.world(), 11);
+        assert_eq!(engine.world().total, 11);
         let _ = b;
     }
 
@@ -495,9 +458,9 @@ mod tests {
         // Regression: repeated cancels of the same id (and cancels of
         // already-fired ids) must leave `events_pending` exact — the old
         // design could make it underflow-panic.
-        let mut engine = Engine::new(());
-        let a = engine.schedule_in(1.0, |_| {});
-        let b = engine.schedule_in(2.0, |_| {});
+        let mut engine = engine();
+        let a = engine.schedule_event_in(1.0, Tick::Add(0));
+        let b = engine.schedule_event_in(2.0, Tick::Add(0));
         assert_eq!(engine.events_pending(), 2);
         engine.cancel(a);
         engine.cancel(a); // duplicate
@@ -516,40 +479,40 @@ mod tests {
         // A cancelled slot is reused immediately; the heap's stale entry
         // for the old generation must be skipped without touching the new
         // occupant even though both share the slot index.
-        let mut engine = Engine::new(0u32);
-        let a = engine.schedule_in(5.0, |e| *e.world_mut() += 100);
+        let mut engine = engine();
+        let a = engine.schedule_event_in(5.0, Tick::Add(100));
         engine.cancel(a);
-        engine.schedule_in(1.0, |e| *e.world_mut() += 1); // reuses slot 0
+        engine.schedule_event_in(1.0, Tick::Add(1)); // reuses slot 0
         engine.run();
-        assert_eq!(*engine.world(), 1);
+        assert_eq!(engine.world().total, 1);
         assert_eq!(engine.events_executed(), 1);
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
-        let mut engine = Engine::new(0u32);
+        let mut engine = engine();
         for i in 1..=10 {
-            engine.schedule_in(i as f64, |e| *e.world_mut() += 1);
+            engine.schedule_event_in(i as f64, Tick::Add(1));
         }
         engine.run_until(SimTime::from_secs(5.0));
-        assert_eq!(*engine.world(), 5);
+        assert_eq!(engine.world().total, 5);
         assert_eq!(engine.now().as_secs(), 5.0);
         engine.run();
-        assert_eq!(*engine.world(), 10);
+        assert_eq!(engine.world().total, 10);
     }
 
     #[test]
     fn run_until_advances_clock_past_empty_heap() {
-        let mut engine: Engine<()> = Engine::new(());
+        let mut engine = engine();
         engine.run_until(SimTime::from_secs(42.0));
         assert_eq!(engine.now().as_secs(), 42.0);
     }
 
     #[test]
     fn events_pending_accounts_for_cancellations() {
-        let mut engine = Engine::new(());
-        let a = engine.schedule_in(1.0, |_| {});
-        let _b = engine.schedule_in(2.0, |_| {});
+        let mut engine = engine();
+        let a = engine.schedule_event_in(1.0, Tick::Add(0));
+        let _b = engine.schedule_event_in(2.0, Tick::Add(0));
         assert_eq!(engine.events_pending(), 2);
         engine.cancel(a);
         assert_eq!(engine.events_pending(), 1);
@@ -558,66 +521,47 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot schedule into the past")]
     fn scheduling_into_the_past_panics() {
-        let mut engine = Engine::new(());
-        engine.schedule_in(5.0, |_| {});
+        let mut engine = engine();
+        engine.schedule_event_in(5.0, Tick::Add(0));
         engine.run();
-        engine.schedule_at(SimTime::from_secs(1.0), |_| {});
+        engine.schedule_event_at(SimTime::from_secs(1.0), Tick::Add(0));
     }
 
     #[test]
     #[should_panic(expected = "delay must be finite")]
     fn negative_delay_panics() {
-        let mut engine = Engine::new(());
-        engine.schedule_in(-1.0, |_| {});
-    }
-
-    // ---- typed (unboxed) event path ----
-
-    enum Tick {
-        Add(u32),
-        Chain,
-    }
-
-    impl Event<u32> for Tick {
-        fn fire(self, engine: &mut Engine<u32, Tick>) {
-            match self {
-                Tick::Add(x) => *engine.world_mut() += x,
-                Tick::Chain => {
-                    *engine.world_mut() += 1;
-                    if *engine.world() < 10 {
-                        engine.schedule_event_in(0.5, Tick::Chain);
-                    }
-                }
-            }
-        }
+        let mut engine = engine();
+        engine.schedule_event_in(-1.0, Tick::Add(0));
     }
 
     #[test]
     fn typed_events_fire_in_time_order() {
-        let mut engine: Engine<u32, Tick> = Engine::new(0);
+        let mut engine = engine();
         engine.schedule_event_in(2.0, Tick::Add(10));
-        engine.schedule_event_in(1.0, Tick::Add(1));
+        engine.schedule_event_in(1.0, Tick::Tag(1));
         engine.run();
-        assert_eq!(*engine.world(), 11);
+        assert_eq!(engine.world().total, 10);
+        assert_eq!(engine.world().order, vec![1]);
         assert_eq!(engine.events_executed(), 2);
     }
 
     #[test]
-    fn typed_event_chain_reuses_slab_slot() {
-        let mut engine: Engine<u32, Tick> = Engine::new(0);
-        engine.schedule_event_in(0.5, Tick::Chain);
-        engine.run();
-        assert_eq!(*engine.world(), 10);
-        assert!((engine.now().as_secs() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn typed_event_cancel() {
-        let mut engine: Engine<u32, Tick> = Engine::new(0);
+        let mut engine = engine();
         let a = engine.schedule_event_in(1.0, Tick::Add(1));
         engine.schedule_event_in(2.0, Tick::Add(10));
         engine.cancel(a);
         engine.run();
-        assert_eq!(*engine.world(), 10);
+        assert_eq!(engine.world().total, 10);
+    }
+
+    #[test]
+    fn typed_event_chain_reuses_slab_slot() {
+        let mut engine = engine();
+        engine.schedule_event_in(0.5, Tick::Chain);
+        engine.run();
+        assert_eq!(engine.world().total, 10);
+        assert!((engine.now().as_secs() - 5.0).abs() < 1e-12);
+        assert!(engine.slots.len() <= 2, "the chain recycles its slot");
     }
 }
