@@ -39,7 +39,7 @@ use crate::metrics::{Metrics, RunReport};
 use crate::transient::TransientCollector;
 
 /// Retry backstop (the paper's RTEs retry indefinitely).
-pub(crate) const MAX_RETRIES: u32 = 1000;
+const MAX_RETRIES: u32 = 1000;
 
 /// The engine of a cluster simulation under policy `P`.
 pub(crate) type Eng<P> = Engine<World<P>, Ev<P>>;
@@ -462,7 +462,7 @@ fn client_cycle<P: Policy>(engine: &mut Eng<P>, client: ClientId) {
 }
 
 /// Least-loaded live node, if any.
-pub(crate) fn pick_live<P: Policy>(w: &World<P>) -> Option<usize> {
+fn pick_live<P: Policy>(w: &World<P>) -> Option<usize> {
     w.nodes
         .iter()
         .enumerate()
@@ -490,12 +490,7 @@ fn dispatch<P: Policy>(engine: &mut Eng<P>, client: ClientId) {
 
 /// Routes a transaction by kind: updates through the policy, reads to
 /// the least loaded live node.
-pub(crate) fn route<P: Policy>(
-    engine: &mut Eng<P>,
-    client: ClientId,
-    template: TxnTemplate,
-    started: f64,
-) {
+fn route<P: Policy>(engine: &mut Eng<P>, client: ClientId, template: TxnTemplate, started: f64) {
     if template.is_update {
         P::route_update(engine, client, template, started);
     } else {

@@ -219,12 +219,9 @@ fn catchup_step(engine: &mut Eng<MultiMaster>, i: usize) {
         let spec = w.pool.spec();
         (spec.ws_cpu, spec.ws_disk)
     };
-    let r = &mut w.nodes[i];
     for ws in missed {
-        r.db.apply_writeset(ws)
-            .expect("writeset references seeded tables");
+        cluster::retire(&mut w.nodes[i], ws);
     }
-    r.apply_next = target + 1;
     let lag = missed.len() as f64 * (ws_cpu + ws_disk);
     engine.schedule_event_in(lag.max(f64::MIN_POSITIVE), Ev::CatchupDone(i));
 }
