@@ -133,8 +133,32 @@ impl Policy for MultiMaster {
         certify(engine, request);
     }
 
+    /// One round of rejoin catch-up: replay every writeset the replica
+    /// missed, pay the state-transfer lag (missed count × mean ws demands —
+    /// deterministic, no RNG draws), then re-check. When no new writesets
+    /// accumulated during the lag the replica is caught up and takes load.
     fn catchup(engine: &mut Eng<Self>, i: usize) {
-        catchup_step(engine, i);
+        let w = engine.world_mut();
+        if w.nodes[i].state != NodeState::CatchingUp {
+            return;
+        }
+        let applied = w.nodes[i].apply_next - 1;
+        let target = w.design.certifier.version();
+        if applied >= target {
+            w.nodes[i].state = NodeState::Up;
+            cluster::drain_stranded(engine);
+            return;
+        }
+        let missed = w.design.certifier.writesets_between(applied, target);
+        let (ws_cpu, ws_disk) = {
+            let spec = w.pool.spec();
+            (spec.ws_cpu, spec.ws_disk)
+        };
+        for ws in missed {
+            cluster::retire(&mut w.nodes[i], ws);
+        }
+        let lag = missed.len() as f64 * (ws_cpu + ws_disk);
+        engine.schedule_event_in(lag.max(f64::MIN_POSITIVE), Ev::CatchupDone(i));
     }
 
     fn certifier(engine: &mut Eng<Self>, up: bool) -> bool {
@@ -196,34 +220,6 @@ fn certify(engine: &mut Eng<MultiMaster>, request: CertRequest) {
         }
         Certification::Abort => cluster::retry(engine, a),
     }
-}
-
-/// One round of rejoin catch-up: replay every writeset the replica
-/// missed, pay the state-transfer lag (missed count × mean ws demands —
-/// deterministic, no RNG draws), then re-check. When no new writesets
-/// accumulated during the lag the replica is caught up and takes load.
-fn catchup_step(engine: &mut Eng<MultiMaster>, i: usize) {
-    let w = engine.world_mut();
-    if w.nodes[i].state != NodeState::CatchingUp {
-        return;
-    }
-    let applied = w.nodes[i].apply_next - 1;
-    let target = w.design.certifier.version();
-    if applied >= target {
-        w.nodes[i].state = NodeState::Up;
-        cluster::drain_stranded(engine);
-        return;
-    }
-    let missed = w.design.certifier.writesets_between(applied, target);
-    let (ws_cpu, ws_disk) = {
-        let spec = w.pool.spec();
-        (spec.ws_cpu, spec.ws_disk)
-    };
-    for ws in missed {
-        cluster::retire(&mut w.nodes[i], ws);
-    }
-    let lag = missed.len() as f64 * (ws_cpu + ws_disk);
-    engine.schedule_event_in(lag.max(f64::MIN_POSITIVE), Ev::CatchupDone(i));
 }
 
 #[cfg(test)]

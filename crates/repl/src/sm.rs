@@ -19,6 +19,7 @@
 //! single-master policy.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
 use replipred_sidb::Database;
 use replipred_workload::client::ClientId;
@@ -128,11 +129,8 @@ struct SingleMaster {
     pending_updates: VecDeque<Waiter>,
 }
 
-/// The single-master design has no events of its own.
-enum NoEvent {}
-
 impl Policy for SingleMaster {
-    type Event = NoEvent;
+    type Event = Infallible;
     const RNG_SALT: u64 = 0x5A5A_1234;
     const DURABLE: bool = true;
 
@@ -178,7 +176,7 @@ impl Policy for SingleMaster {
         });
     }
 
-    fn fire(_engine: &mut Eng<Self>, ev: NoEvent) {
+    fn fire(_engine: &mut Eng<Self>, ev: Infallible) {
         match ev {}
     }
 
@@ -188,8 +186,44 @@ impl Policy for SingleMaster {
         try_complete_promotion(engine);
     }
 
+    /// Vacuum-cadence durability work: re-checkpoint every live node (its
+    /// redo log restarts from the fresh image) and truncate the relay log
+    /// below the minimum sequence any replica can still need. With
+    /// durability on that floor is each node's durable horizon; without it,
+    /// a node's next unapplied sequence. Either way the log stays bounded
+    /// under steady load while never dropping an entry a rejoiner (even a
+    /// currently-Down one) could ask for.
     fn vacuumed(w: &mut World<Self>) {
-        checkpoint_and_truncate(w);
+        let sm = &mut w.design;
+        let ws_seq = sm.ws_seq;
+        for (i, node) in w.nodes.iter_mut().enumerate() {
+            if node.state != NodeState::Up {
+                continue; // frozen (Down) or mid-replay (CatchingUp)
+            }
+            if let Some(d) = node.durable.as_mut() {
+                let applied = if i == sm.master {
+                    ws_seq
+                } else {
+                    node.apply_next - 1
+                };
+                d.checkpoint(&node.db, applied);
+            }
+        }
+        let min_needed = w
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| match &node.durable {
+                Some(d) => d.durable_seq() + 1,
+                None if node.state == NodeState::Up && i == sm.master => ws_seq + 1,
+                None => node.apply_next,
+            })
+            .min()
+            .unwrap_or(ws_seq + 1);
+        sm.ws_log.truncate_below(min_needed);
+        if sm.log_retention > 0 {
+            sm.ws_log.cap(sm.log_retention);
+        }
     }
 
     /// A crashed master's database holds everything it committed: record
@@ -205,12 +239,71 @@ impl Policy for SingleMaster {
         }
     }
 
+    /// First step of a rejoin. With durability enabled the node *rebuilds*
+    /// its database from its frozen checkpoint + redo log — the in-memory
+    /// image is gone with the crash — paying the WAL replay as lag before
+    /// relay-log catch-up starts. Without durability the in-memory image is
+    /// assumed to have survived (the pre-durability model) and catch-up
+    /// starts immediately.
     fn rejoin(engine: &mut Eng<Self>, i: usize) {
-        rejoin(engine, i);
+        let w = engine.world_mut();
+        let Some((db, relay_seq, replayed)) =
+            w.nodes[i].durable.as_ref().map(NodeDurability::recover)
+        else {
+            Self::catchup(engine, i);
+            return;
+        };
+        let (ws_cpu, ws_disk) = {
+            let spec = w.pool.spec();
+            (spec.ws_cpu, spec.ws_disk)
+        };
+        let s = &mut w.nodes[i];
+        s.db = db;
+        s.apply_next = relay_seq + 1;
+        s.apply_ready.clear();
+        let lag = replayed as f64 * (ws_cpu + ws_disk);
+        engine.schedule_event_in(lag.max(f64::MIN_POSITIVE), Ev::CatchupDone(i));
     }
 
+    /// One round of rejoin catch-up: replay every writeset the node missed
+    /// from the relay log, pay the replay lag (missed count × mean ws
+    /// demands — deterministic, no RNG draws), then re-check. When the relay
+    /// log has been truncated past the node's position, fall back to a
+    /// checkpoint state transfer from the most caught-up live node. When no
+    /// new writesets accumulated during the lag the node is caught up and
+    /// takes load; if the cluster is masterless it stands for election.
     fn catchup(engine: &mut Eng<Self>, i: usize) {
-        catchup_step(engine, i);
+        let w = engine.world_mut();
+        if w.nodes[i].state != NodeState::CatchingUp {
+            return;
+        }
+        let applied = w.nodes[i].apply_next - 1;
+        let target = w.design.ws_seq;
+        if applied >= target {
+            w.nodes[i].state = NodeState::Up;
+            if w.design.promoting.is_none() && w.nodes[w.design.master].state != NodeState::Up {
+                elect(engine);
+            }
+            try_complete_promotion(engine);
+            cluster::drain_stranded(engine);
+            return;
+        }
+        let ws_demand = {
+            let spec = w.pool.spec();
+            spec.ws_cpu + spec.ws_disk
+        };
+        let lag = match w.design.ws_log.range_from(applied + 1, target) {
+            Some(missed) => {
+                let s = &mut w.nodes[i];
+                for ws in &missed {
+                    cluster::retire(s, ws);
+                }
+                debug_assert_eq!(s.apply_next, target + 1);
+                missed.len() as f64 * ws_demand
+            }
+            None => state_transfer(w, i, ws_demand),
+        };
+        engine.schedule_event_in(lag.max(f64::MIN_POSITIVE), Ev::CatchupDone(i));
     }
 
     fn label(w: &World<Self>, i: usize) -> String {
@@ -219,46 +312,6 @@ impl Policy for SingleMaster {
         } else {
             format!("slave{i}")
         }
-    }
-}
-
-/// Vacuum-cadence durability work: re-checkpoint every live node (its
-/// redo log restarts from the fresh image) and truncate the relay log
-/// below the minimum sequence any replica can still need. With
-/// durability on that floor is each node's durable horizon; without it,
-/// a node's next unapplied sequence. Either way the log stays bounded
-/// under steady load while never dropping an entry a rejoiner (even a
-/// currently-Down one) could ask for.
-fn checkpoint_and_truncate(w: &mut World<SingleMaster>) {
-    let sm = &mut w.design;
-    let ws_seq = sm.ws_seq;
-    for (i, node) in w.nodes.iter_mut().enumerate() {
-        if node.state != NodeState::Up {
-            continue; // frozen (Down) or mid-replay (CatchingUp)
-        }
-        if let Some(d) = node.durable.as_mut() {
-            let applied = if i == sm.master {
-                ws_seq
-            } else {
-                node.apply_next - 1
-            };
-            d.checkpoint(&node.db, applied);
-        }
-    }
-    let min_needed = w
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(i, node)| match &node.durable {
-            Some(d) => d.durable_seq() + 1,
-            None if node.state == NodeState::Up && i == sm.master => ws_seq + 1,
-            None => node.apply_next,
-        })
-        .min()
-        .unwrap_or(ws_seq + 1);
-    sm.ws_log.truncate_below(min_needed);
-    if sm.log_retention > 0 {
-        sm.ws_log.cap(sm.log_retention);
     }
 }
 
@@ -305,72 +358,6 @@ fn try_complete_promotion(engine: &mut Eng<SingleMaster>) {
     } {
         SingleMaster::route_update(engine, client, template, started);
     }
-}
-
-/// First step of a rejoin. With durability enabled the node *rebuilds*
-/// its database from its frozen checkpoint + redo log — the in-memory
-/// image is gone with the crash — paying the WAL replay as lag before
-/// relay-log catch-up starts. Without durability the in-memory image is
-/// assumed to have survived (the pre-durability model) and catch-up
-/// starts immediately.
-fn rejoin(engine: &mut Eng<SingleMaster>, i: usize) {
-    let w = engine.world_mut();
-    let Some((db, relay_seq, replayed)) = w.nodes[i].durable.as_ref().map(NodeDurability::recover)
-    else {
-        catchup_step(engine, i);
-        return;
-    };
-    let (ws_cpu, ws_disk) = {
-        let spec = w.pool.spec();
-        (spec.ws_cpu, spec.ws_disk)
-    };
-    let s = &mut w.nodes[i];
-    s.db = db;
-    s.apply_next = relay_seq + 1;
-    s.apply_ready.clear();
-    let lag = replayed as f64 * (ws_cpu + ws_disk);
-    engine.schedule_event_in(lag.max(f64::MIN_POSITIVE), Ev::CatchupDone(i));
-}
-
-/// One round of rejoin catch-up: replay every writeset the node missed
-/// from the relay log, pay the replay lag (missed count × mean ws
-/// demands — deterministic, no RNG draws), then re-check. When the relay
-/// log has been truncated past the node's position, fall back to a
-/// checkpoint state transfer from the most caught-up live node. When no
-/// new writesets accumulated during the lag the node is caught up and
-/// takes load; if the cluster is masterless it stands for election.
-fn catchup_step(engine: &mut Eng<SingleMaster>, i: usize) {
-    let w = engine.world_mut();
-    if w.nodes[i].state != NodeState::CatchingUp {
-        return;
-    }
-    let applied = w.nodes[i].apply_next - 1;
-    let target = w.design.ws_seq;
-    if applied >= target {
-        w.nodes[i].state = NodeState::Up;
-        if w.design.promoting.is_none() && w.nodes[w.design.master].state != NodeState::Up {
-            elect(engine);
-        }
-        try_complete_promotion(engine);
-        cluster::drain_stranded(engine);
-        return;
-    }
-    let ws_demand = {
-        let spec = w.pool.spec();
-        spec.ws_cpu + spec.ws_disk
-    };
-    let lag = match w.design.ws_log.range_from(applied + 1, target) {
-        Some(missed) => {
-            let s = &mut w.nodes[i];
-            for ws in &missed {
-                cluster::retire(s, ws);
-            }
-            debug_assert_eq!(s.apply_next, target + 1);
-            missed.len() as f64 * ws_demand
-        }
-        None => state_transfer(w, i, ws_demand),
-    };
-    engine.schedule_event_in(lag.max(f64::MIN_POSITIVE), Ev::CatchupDone(i));
 }
 
 /// Checkpoint-based state transfer: the relay log no longer holds the

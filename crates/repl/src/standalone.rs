@@ -10,6 +10,8 @@
 //! propagates, and cluster schedule events (crashes, rejoins, certifier
 //! outages) are acknowledged as ignored.
 
+use std::convert::Infallible;
+
 use replipred_sidb::Database;
 use replipred_workload::client::ClientId;
 use replipred_workload::spec::{TxnTemplate, WorkloadSpec};
@@ -53,11 +55,8 @@ struct Standalone {
     log_statements: bool,
 }
 
-/// The standalone design has no events of its own.
-enum NoEvent {}
-
 impl Policy for Standalone {
-    type Event = NoEvent;
+    type Event = Infallible;
     /// Unused: a single node never propagates writesets.
     const RNG_SALT: u64 = 0;
     const FAULTS: bool = false;
@@ -96,7 +95,7 @@ impl Policy for Standalone {
         cluster::commit_locally(engine, a, |_, _, _, _| {});
     }
 
-    fn fire(_engine: &mut Eng<Self>, ev: NoEvent) {
+    fn fire(_engine: &mut Eng<Self>, ev: Infallible) {
         match ev {}
     }
 
