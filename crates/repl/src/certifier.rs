@@ -11,7 +11,8 @@
 //! simulation models the replicated certifier's latency (leader + two
 //! backups, batched disk writes) as the configured 12 ms delay, which the
 //! paper justifies in Section 6.3.2 and which our
-//! `sens_certifier` experiment revisits.
+//! `sens_certifier` experiment revisits, and its unavailability as
+//! injected `cert-down`/`cert-up` outages.
 
 use replipred_sidb::{RowMap, WriteSet};
 use serde::{Deserialize, Serialize};

@@ -33,9 +33,9 @@ use crate::time::SimTime;
 
 /// A schedulable event over a world type `W`.
 ///
-/// Implement this for a simulation-specific enum to get the unboxed event
-/// path: the engine stores the value inline and calls [`Event::fire`]
-/// exactly once when its time arrives.
+/// Implement this for a simulation-specific enum: the engine stores the
+/// value inline and calls [`Event::fire`] exactly once when its time
+/// arrives.
 pub trait Event<W>: Sized + 'static {
     /// Executes the event. The engine's clock has already advanced to the
     /// event's scheduled time.
