@@ -472,7 +472,7 @@ fn pick_live<P: Policy>(w: &World<P>) -> Option<usize> {
 }
 
 /// Whether an attempt's node is still the live incarnation it started on.
-fn is_live<P: Policy>(w: &World<P>, a: &Attempt) -> bool {
+pub(crate) fn is_live<P: Policy>(w: &World<P>, a: &Attempt) -> bool {
     let node = &w.nodes[a.node];
     node.state == NodeState::Up && node.epoch == a.epoch
 }

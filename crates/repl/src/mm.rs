@@ -195,9 +195,7 @@ impl Policy for MultiMaster {
 /// local execution state is gone); during a certifier outage requests
 /// queue and are re-certified in order at restart.
 fn certify(engine: &mut Eng<MultiMaster>, request: CertRequest) {
-    let a = &request.a;
-    let origin = &engine.world().nodes[a.node];
-    if origin.state != NodeState::Up || origin.epoch != a.epoch {
+    if !cluster::is_live(engine.world(), &request.a) {
         let a = request.a;
         cluster::route_any(engine, a.client, a.template, a.started);
         return;
