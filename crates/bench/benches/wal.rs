@@ -1,11 +1,16 @@
 //! Criterion benchmarks for the sidb durability path: group-commit WAL
-//! encoding, torn-tail-safe scanning, and full recovery (checkpoint
-//! restore + redo replay). These are the costs behind the simulators'
-//! fsync surcharge and the `recover` CLI's cold-start time, so they are
+//! encoding, torn-tail-safe scanning, full recovery (checkpoint restore
+//! and redo replay) and the checkpoint tick (full capture against
+//! folding the redo log into the last image). These are the costs
+//! behind the simulators' fsync surcharge, their vacuum-cadence
+//! checkpoints and the `recover` CLI's cold-start time, so they are
 //! worth tracking alongside the storage hot path.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use replipred_sidb::{scan, Database, RowId, TableId, Value, WalRecord, WalWriter};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use replipred_bench::named_workload;
+use replipred_repl::SimConfig;
+use replipred_sidb::{scan, Checkpoint, Database, RowId, TableId, Value, WalRecord, WalWriter};
+use replipred_workload::{client::ClientId, ClientPool};
 use std::hint::black_box;
 
 const ROWS: u64 = 4_096;
@@ -110,5 +115,69 @@ fn bench_recovery(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_wal_append, bench_wal_scan, bench_recovery);
+/// Update commits between two checkpoint ticks: about what one
+/// `synth:write-heavy` replica logs per 10 s vacuum interval.
+const TICK_COMMITS: usize = 400;
+
+/// A seeded `synth:write-heavy` replica at the simulators' default seed
+/// scale, its checkpoint image, and the redo log (group commit 4) of
+/// `TICK_COMMITS` update commits run on it since that image.
+fn write_heavy_tick() -> (Database, Checkpoint, Vec<u8>) {
+    let spec = named_workload("synth:write-heavy");
+    let mut db = Database::new();
+    spec.create_schema(&mut db).unwrap();
+    let plan = spec.compile(&db).unwrap();
+    plan.seed(&mut db, SimConfig::paper(1, 0).seed_scale)
+        .unwrap();
+    let image = db.checkpoint();
+    let mut pool = ClientPool::new(plan, spec.clients_per_replica, 2009);
+    let mut wal = WalWriter::new(4);
+    let mut logged = 0;
+    for client in (0..pool.len()).cycle() {
+        if logged == TICK_COMMITS {
+            break;
+        }
+        let template = pool.next_transaction(ClientId(client));
+        if !template.is_update {
+            continue;
+        }
+        let txn = db.begin();
+        pool.plan().execute(&mut db, txn, &template).unwrap();
+        let info = db.commit(txn).unwrap();
+        wal.append_commit(info.commit_seq, &info.writeset);
+        logged += 1;
+    }
+    (db, image, wal.into_bytes())
+}
+
+/// One checkpoint tick, both ways: re-capture the whole database, or
+/// fold the tick's redo log into the previous image (the image clone
+/// that gives each fold a fresh input is not timed).
+fn bench_durable_checkpoint(c: &mut Criterion) {
+    let (db, image, wal) = write_heavy_tick();
+    let mut folded = image.clone();
+    folded.fold_log(&wal).unwrap();
+    assert_eq!(folded, db.checkpoint(), "the fold must reach the capture");
+    c.bench_function("durable_checkpoint_capture", |b| {
+        b.iter(|| black_box(db.checkpoint().row_count()));
+    });
+    c.bench_function("durable_checkpoint_fold", |b| {
+        b.iter_batched(
+            || image.clone(),
+            |mut cp| {
+                cp.fold_log(black_box(&wal)).unwrap();
+                cp
+            },
+            BatchSize::LargeInput,
+        );
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_wal_append,
+    bench_wal_scan,
+    bench_recovery,
+    bench_durable_checkpoint
+);
 criterion_main!(benches);

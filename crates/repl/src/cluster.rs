@@ -85,7 +85,8 @@ pub(crate) struct Node<P: Policy> {
     /// pool).
     pub admission: VecDeque<Waiter>,
     /// Checkpoint + redo log when the design keeps one and durability is
-    /// enabled. A crash freezes it; rejoin rebuilds `db` from it.
+    /// enabled. A crash freezes it, less the unsealed group commit;
+    /// rejoin rebuilds `db` from it.
     pub durable: Option<NodeDurability>,
 }
 
@@ -859,8 +860,9 @@ fn inject<P: Policy>(engine: &mut Eng<P>, ev: ScheduleEvent) {
 
 /// Crashes node `i`: it stops serving, its queued arrivals re-route to
 /// the survivors, and pending writeset applications are dropped (they
-/// are recovered from the log on rejoin). In-flight attempts are
-/// intercepted as their events fire.
+/// are recovered from the log on rejoin), as is a durable node's
+/// unsealed group commit. In-flight attempts are intercepted as their
+/// events fire.
 fn crash<P: Policy>(engine: &mut Eng<P>, i: usize) {
     let waiting = {
         let n = &mut engine.world_mut().nodes[i];
@@ -869,6 +871,9 @@ fn crash<P: Policy>(engine: &mut Eng<P>, i: usize) {
         n.executing = 0;
         n.inflight = 0;
         n.apply_ready.clear();
+        if let Some(d) = n.durable.as_mut() {
+            d.crash();
+        }
         std::mem::take(&mut n.admission)
     };
     for (client, template, started) in waiting {

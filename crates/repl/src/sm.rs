@@ -393,7 +393,7 @@ fn state_transfer(w: &mut World<SingleMaster>, i: usize, ws_demand: f64) -> f64 
     s.apply_ready.clear();
     if let Some(d) = s.durable.as_mut() {
         // The transferred image is the node's new durable baseline.
-        d.checkpoint(&s.db, covered);
+        d.rebase(cp, covered);
     }
     w.design.state_transfers += 1;
     rows * ws_demand * STATE_TRANSFER_ROW_COST

@@ -50,7 +50,9 @@
 //!   ([`Database::recover`]) loads a checkpoint and replays the log's
 //!   valid prefix, truncating at the first torn or corrupt frame; the
 //!   result is byte-identical (per [`Database::durable_state`]) to a
-//!   reference engine replayed to the last whole group commit. Both
+//!   reference engine replayed to the last whole group commit. A
+//!   checkpoint advances by folding the log into it
+//!   ([`Checkpoint::fold_log`]) under the same record rules. Both
 //!   byte formats are pure functions of the logged history, keeping the
 //!   workspace determinism contract intact for durable state.
 //!
@@ -87,7 +89,7 @@ pub mod value;
 pub mod wal;
 pub mod writeset;
 
-pub use checkpoint::{Checkpoint, CheckpointError, RecoveryReport, TableCheckpoint};
+pub use checkpoint::{Checkpoint, CheckpointError, FoldError, RecoveryReport, TableCheckpoint};
 pub use db::{CommitInfo, Database, DbStats};
 pub use error::DbError;
 pub use ids::{RowId, TableId};

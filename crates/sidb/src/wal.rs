@@ -33,11 +33,14 @@ use crate::writeset::{WriteItem, WriteOp, WriteSet};
 pub const FRAME_HEADER: usize = 8;
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table-driven.
+// CRC-32 (IEEE 802.3, reflected), table-driven, eight bytes per step.
 // ---------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+/// advances a byte's contribution through `k` further zero bytes, so
+/// eight lookups fold eight input bytes at once (slicing-by-8).
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -50,19 +53,43 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc_table();
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// IEEE CRC-32 of `bytes` (the polynomial zlib, PNG, and ethernet use).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -174,12 +201,14 @@ pub(crate) fn encode_record(out: &mut Vec<u8>, rec: &WalRecord) {
                 put_str(out, c);
             }
         }
-        WalRecord::Commit { seq, writeset } => {
-            out.push(TAG_COMMIT);
-            put_u64(out, *seq);
-            put_writeset(out, writeset);
-        }
+        WalRecord::Commit { seq, writeset } => encode_commit(out, *seq, writeset),
     }
+}
+
+fn encode_commit(out: &mut Vec<u8>, seq: u64, ws: &WriteSet) {
+    out.push(TAG_COMMIT);
+    put_u64(out, seq);
+    put_writeset(out, ws);
 }
 
 /// Bounded-checked byte reader; every accessor returns `None` past the
@@ -345,6 +374,18 @@ impl WalWriter {
     /// Appends one record, sealing the group's frame when full.
     pub fn append(&mut self, rec: &WalRecord) {
         encode_record(&mut self.pending, rec);
+        self.appended();
+    }
+
+    /// Appends a commit record encoded straight from a borrowed
+    /// writeset: the same bytes as appending [`WalRecord::Commit`],
+    /// without cloning the writeset into one first.
+    pub fn append_commit(&mut self, seq: u64, ws: &WriteSet) {
+        encode_commit(&mut self.pending, seq, ws);
+        self.appended();
+    }
+
+    fn appended(&mut self) {
         self.pending_records += 1;
         if self.pending_records >= self.group {
             self.seal();
@@ -354,6 +395,13 @@ impl WalWriter {
     /// Seals a partially filled group into a frame (an explicit fsync).
     pub fn flush(&mut self) {
         self.seal();
+    }
+
+    /// Drops the unsealed group, as a crash does: only sealed frames
+    /// survive it.
+    pub fn discard_pending(&mut self) {
+        self.pending.clear();
+        self.pending_records = 0;
     }
 
     fn seal(&mut self) {
@@ -516,6 +564,32 @@ mod tests {
     }
 
     #[test]
+    fn crc32_matches_the_bitwise_definition_at_every_alignment() {
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c ^= u32::from(b);
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            !c
+        }
+        let bytes: Vec<u8> = (0..200u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..9 {
+            for end in start..bytes.len() {
+                assert_eq!(crc32(&bytes[start..end]), bitwise(&bytes[start..end]));
+            }
+        }
+    }
+
+    #[test]
     fn round_trip_all_records() {
         let (mut w, recs) = sample_log(10, 4);
         w.flush();
@@ -587,6 +661,34 @@ mod tests {
         a.flush();
         b.flush();
         assert_eq!(a.bytes(), b.bytes());
+    }
+
+    #[test]
+    fn borrowed_commit_frames_match_owned_records() {
+        let mut owned = WalWriter::new(3);
+        let mut borrowed = WalWriter::new(3);
+        for seq in 1..=8 {
+            let ws = sample_ws(seq);
+            borrowed.append_commit(seq, &ws);
+            owned.append(&WalRecord::Commit { seq, writeset: ws });
+        }
+        assert_eq!(borrowed.pending_records(), owned.pending_records());
+        assert_eq!(borrowed.into_bytes(), owned.into_bytes());
+    }
+
+    #[test]
+    fn discarded_group_never_reaches_the_log() {
+        let (mut w, _) = sample_log(5, 4);
+        let sealed = w.bytes().to_vec();
+        assert_eq!(w.pending_records(), 2);
+        w.discard_pending();
+        assert_eq!(w.pending_records(), 0);
+        w.flush();
+        assert_eq!(w.bytes(), &sealed[..], "nothing pending to seal");
+        w.append_commit(6, &sample_ws(6));
+        w.flush();
+        let got = scan(w.bytes());
+        assert_eq!(got.records.len(), 5, "4 sealed before the crash + 1 after");
     }
 
     #[test]
